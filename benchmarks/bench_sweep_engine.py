@@ -18,24 +18,19 @@ why.
 
 The artifact also carries a ``resilience`` section — kill → resume →
 complete, measured: a run interrupted after its first journaled chunk
-and resumed from the result store, and a chaos run whose work-queue
-worker is SIGKILLed mid-chunk, must both land on the undisturbed serial
+and resumed from the result store, and a process-pool run whose worker
+SIGKILLs itself mid-chunk, must both land on the undisturbed serial
 digest.
 """
 
 import os
+import signal
 import tempfile
+from dataclasses import dataclass
 
 from repro.core.config_io import dump_report, load_report
 from repro.core import make_report
-from repro.exp import (
-    ChaosEvent,
-    ChaosPlan,
-    Sweep,
-    SweepInterrupted,
-    run_chaos_sweep,
-    run_sweep,
-)
+from repro.exp import Sweep, SweepInterrupted, run_sweep
 from repro.exp.tasks import scalability_blocksizes
 
 from conftest import banner
@@ -48,8 +43,29 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ARTIFACT = os.path.join(HERE, "BENCH_sweep_engine.json")
 
 
-def make_sweep() -> Sweep:
-    return Sweep.grid("sweep_engine", scalability_blocksizes, axes=AXES)
+def make_sweep(task=scalability_blocksizes) -> Sweep:
+    return Sweep.grid("sweep_engine", task, axes=AXES)
+
+
+@dataclass(frozen=True)
+class SuicideOnce:
+    """``scalability_blocksizes`` whose first evaluation SIGKILLs its worker.
+
+    The sentinel file marks the kill as spent, so the re-dispatched chunk
+    runs the plain task: same points, same seeds, same digest.
+    """
+
+    sentinel: str
+
+    def __call__(self, params, ctx):
+        try:
+            with open(self.sentinel, "x"):
+                pass
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return scalability_blocksizes(params, ctx)
 
 
 def test_sweep_cache_hit_rate_and_speedup(benchmark):
@@ -92,8 +108,8 @@ def _resilience_scenario(sweep, reference_digest):
 
     Two disturbances against the same sweep, both required to land on the
     reference digest: (a) an interrupt after the first journaled chunk
-    followed by a ``--resume`` run, and (b) a chaos run on the work-queue
-    backend whose first chunk's worker is SIGKILLed mid-flight.
+    followed by a ``--resume`` run, and (b) a process-pool run whose
+    first evaluated point SIGKILLs its worker mid-chunk.
     """
     with tempfile.TemporaryDirectory() as store:
         try:
@@ -102,8 +118,12 @@ def _resilience_scenario(sweep, reference_digest):
         except SweepInterrupted as err:
             journaled = err.completed_chunks
         resumed = run_sweep(sweep, workers=1, store=store, resume=True)
-    plan = ChaosPlan(seed=13, events=(ChaosEvent(chunk=0, action="kill"),))
-    chaotic, monkey = run_chaos_sweep(sweep, plan, workers=2)
+    with tempfile.TemporaryDirectory() as scratch:
+        sentinel = os.path.join(scratch, "killed")
+        chaotic = run_sweep(
+            make_sweep(SuicideOnce(sentinel)), workers=2, executor="pool"
+        )
+        struck = os.path.exists(sentinel)
     return {
         "interrupt_resume": {
             "journaled_chunks_at_kill": journaled,
@@ -113,8 +133,9 @@ def _resilience_scenario(sweep, reference_digest):
             "digest_matches_serial": resumed.digest() == reference_digest,
         },
         "chaos_kill": {
-            "plan": plan.to_dict(),
-            "strikes": len(monkey.log),
+            "fault": "a pool worker SIGKILLs itself on the first point it runs",
+            "struck": struck,
+            "mode": chaotic.mode,
             "worker_restarts": chaotic.worker_restarts,
             "quarantined": chaotic.quarantined,
             "digest": chaotic.digest(),
@@ -190,11 +211,12 @@ def test_sweep_engine_artifact(benchmark):
     resume_ok = resilience["interrupt_resume"]["digest_matches_serial"]
     print(f"resilience: resume matched={resume_ok}, "
           f"chaos matched={resilience['chaos_kill']['digest_matches_serial']} "
-          f"({resilience['chaos_kill']['strikes']} strike(s))")
+          f"({resilience['chaos_kill']['worker_restarts']} pool restart(s))")
     assert identical
     assert resilience["interrupt_resume"]["digest_matches_serial"]
     assert resilience["chaos_kill"]["digest_matches_serial"]
-    assert resilience["chaos_kill"]["strikes"] >= 1
+    assert resilience["chaos_kill"]["struck"]
+    assert resilience["chaos_kill"]["worker_restarts"] >= 1
     assert resilience["chaos_kill"]["quarantined"] == []
     # the artifact round-trips through the versioned report schema
     assert load_report(open(ARTIFACT).read())["kind"] == "sweep"

@@ -213,9 +213,9 @@ def _build_result(args: argparse.Namespace, **extra):
     """Build the :class:`repro.api.Scenario` an args namespace describes.
 
     The single construction point all four simulation subcommands share —
-    this is where the CLI is re-routed through the :mod:`repro.api` facade
-    (``_simulated_run`` below remains as a deprecation shim).  ``--blocks``
-    left unset keeps the scenario's own setting (4 for plain configs).
+    this is where the CLI is re-routed through the :mod:`repro.api` facade.
+    ``--blocks`` left unset keeps the scenario's own setting (4 for plain
+    configs).
     """
     return _prepared_scenario(args, **extra).build()
 
@@ -231,35 +231,6 @@ def _prepared_scenario(args: argparse.Namespace, **extra):
     for key, value in extra.items():
         scenario = getattr(scenario, f"with_{key}")(value)
     return scenario
-
-
-def _simulated_run(args: argparse.Namespace, **kwargs):
-    """Deprecated shim: pre-facade helper returning the raw SimulationRun.
-
-    Kept for any external driver importing it; new code should build a
-    :class:`repro.api.Scenario`.
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.__main__._simulated_run is deprecated; use repro.api.Scenario",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import load_scenario
-
-    scenario = load_scenario(args.config)
-    if getattr(args, "blocks", None) is not None:
-        scenario = scenario.with_blocks(args.blocks)
-    scenario = scenario.with_backend(args.backend)
-    if "max_cycles" in kwargs:
-        scenario = scenario.with_max_cycles(kwargs.pop("max_cycles"))
-    for key in ("faults", "spares", "watchdog", "admission"):
-        if key in kwargs:
-            scenario = getattr(scenario, f"with_{key}")(kwargs.pop(key))
-    if kwargs:
-        raise TypeError(f"unsupported simulation kwargs: {sorted(kwargs)}")
-    return scenario.build().run
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
@@ -884,11 +855,10 @@ def main(argv: list[str] | None = None) -> int:
                    help="worker processes (default: min(4, cpu count))")
     p.add_argument("--serial", action="store_true",
                    help="run in-process (identical results, no pool)")
-    p.add_argument("--executor", choices=("serial", "pool", "queue"),
+    p.add_argument("--executor", choices=("serial", "pool"),
                    default=None,
                    help="execution backend (default: serial when workers "
-                        "<= 1, else pool; queue = crash-tolerant "
-                        "file-protocol work queue)")
+                        "<= 1, else pool = crash-tolerant process pool)")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-point wall-clock limit in seconds")
     p.add_argument("--retries", type=int, default=0,

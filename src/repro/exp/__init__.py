@@ -20,17 +20,17 @@ experiments::
 
 Guarantees: eager spec validation (bad grids fail before any worker
 spawns), deterministic per-point seeding, chunk-local solver caching with
-warm starts, and bit-identical merged results for any worker count, any
-execution backend (serial / process pool / work queue) and any
-crash-resume history.  Fault tolerance: seeded retries with exponential
-backoff, portable per-point timeouts, dead-worker detection with chunk
-re-dispatch, poison-point quarantine, and graceful degradation to serial —
-chaos-tested in :mod:`repro.exp.chaos`.
+warm starts, and bit-identical merged results for any worker count, either
+execution backend (serial / process pool) and any crash-resume history.
+Fault tolerance: seeded retries with exponential backoff, portable
+per-point timeouts, dead-worker detection with chunk re-dispatch, a stall
+guard that kills workers wedged past their chunk's deadline, poison-point
+quarantine, and graceful degradation to serial — chaos-tested by seeded
+kill/stall plans in ``tests/integration/test_sweep_recovery.py``.
 """
 
 from . import tasks
 from .cache import ShardedSolverCache, SolverCache
-from .chaos import ChaosEvent, ChaosMonkey, ChaosPlan, run_chaos_sweep
 from .engine import (
     DEFAULT_CHUNK_SIZE,
     PointContext,
@@ -44,7 +44,6 @@ from .executors import (
     Executor,
     ProcessPoolExecutor,
     SerialExecutor,
-    WorkQueueExecutor,
     resolve_executor,
 )
 from .runner import ChunkRunner, retry_delay
@@ -59,9 +58,6 @@ from .sweep import (
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "ChaosEvent",
-    "ChaosMonkey",
-    "ChaosPlan",
     "ChunkRunner",
     "Executor",
     "PointContext",
@@ -77,12 +73,10 @@ __all__ = [
     "SweepInterrupted",
     "SweepPoint",
     "SweepResult",
-    "WorkQueueExecutor",
     "point_key",
     "point_seed",
     "resolve_executor",
     "retry_delay",
-    "run_chaos_sweep",
     "run_sweep",
     "scenario_corpus",
     "sweep_fingerprint",

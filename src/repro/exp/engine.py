@@ -5,9 +5,8 @@ Execution model
 
 Points are split into fixed-size *chunks* (consecutive slices in point
 order).  Each chunk is evaluated by one worker via a pluggable
-:class:`~repro.exp.executors.Executor` backend — in-process serial, a
-crash-tolerant ``concurrent.futures`` process pool, or a spawn-safe
-file-protocol work queue of independent worker processes.  Within a chunk,
+:class:`~repro.exp.executors.Executor` backend — in-process serial or a
+crash-tolerant ``concurrent.futures`` process pool.  Within a chunk,
 points run serially against a fresh chunk-local
 :class:`~repro.exp.cache.SolverCache`, so warm starts flow between
 neighbouring points of the same chunk and never across chunks — which is
@@ -38,7 +37,8 @@ and a wall-clock timeout (``SIGALRM`` pre-emption where available, a
 watchdog-thread deadline everywhere else — the mechanism that enforced it
 is recorded in the report).  Per worker: dead-worker detection with chunk
 re-dispatch (exactly-once per point in the merged output via chunk-indexed
-commits), poison-point quarantine after repeated crashes (recorded in the
+commits), a stall guard that kills workers wedged past their chunk's
+deadline, poison-point quarantine after repeated crashes (recorded in the
 report, never silently dropped), and graceful degradation to serial
 execution when workers keep dying.  Wall-clock timings and worker
 attribution live in the report's ``execution`` section, which is
@@ -259,9 +259,12 @@ def run_sweep(
     out_dir:
         When given, persist ``BENCH_<name>.json`` there before returning.
     executor:
-        Backend: ``"serial"``, ``"pool"``, ``"queue"``, an
+        Backend: ``"serial"``, ``"pool"``, an
         :class:`~repro.exp.executors.Executor` instance, or ``None`` to
-        pick serial/pool from ``workers``.
+        pick serial/pool from ``workers``.  With a ``timeout`` the pool
+        also guards against stalls: workers that land no chunk within one
+        chunk's worst-case wall time are killed and their chunks
+        re-dispatched like a crash.
     store:
         A :class:`~repro.exp.store.ResultStore` (or its directory path).
         When armed, completed chunks are durably journaled as they land

@@ -25,36 +25,23 @@ Backends
 :class:`ProcessPoolExecutor`
     ``concurrent.futures`` pool with dead-worker detection: a SIGKILLed or
     OOM-killed worker breaks the pool, the executor rebuilds it and
-    re-dispatches every chunk that had no result yet.  Chunks that keep
-    crashing workers are quarantined via isolated prefix replay; after
+    re-dispatches every chunk that had no result yet.  A stall guard
+    treats a worker wedged past its own timeout (SIGSTOPped, stuck where
+    signals never land) the same way: when no chunk lands within one
+    chunk's worst-case wall time (:meth:`ChunkRunner.deadline`), the
+    workers are killed and the pool breaks.  Chunks that keep breaking
+    the pool are quarantined via isolated prefix replay; after
     ``degrade_after`` pool breakages the remainder runs serially.
-
-:class:`WorkQueueExecutor`
-    A spawn-safe, file-protocol work queue: the parent serialises chunks
-    into ``tasks/``, independent worker *processes* (``python -m
-    repro.exp.worker``) claim them by atomic rename into ``claims/`` and
-    commit results by atomic rename into ``results/``.  The parent polls,
-    reaps dead workers (re-queueing their claims), SIGKILLs workers whose
-    claim lease expired (stall recovery), respawns up to a restart budget,
-    and — like the pool — quarantines poison chunks and degrades to serial
-    when the worker fleet cannot be kept alive.  Because the protocol is
-    plain files + atomic renames, it tolerates SIGKILL at *any* instant:
-    the chaos harness (:mod:`repro.exp.chaos`) leans on exactly this.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-import pickle
 import signal
-import subprocess
-import sys
-import time
 from abc import ABC, abstractmethod
 from concurrent import futures
 from concurrent.futures.process import BrokenProcessPool
-from pathlib import Path
-from tempfile import mkdtemp
 from typing import Any, Callable
 
 from .runner import ChunkRunner, PointOutcome
@@ -64,7 +51,6 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "ProcessPoolExecutor",
-    "WorkQueueExecutor",
     "StopExecution",
     "resolve_executor",
 ]
@@ -115,19 +101,28 @@ def resolve_executor(
         return SerialExecutor()
     if executor == "pool":
         return ProcessPoolExecutor(workers=max(2, workers))
-    if executor == "queue":
-        return WorkQueueExecutor(workers=max(2, workers))
     raise ValueError(
-        f"unknown executor {executor!r}; expected 'serial', 'pool', 'queue' "
-        "or an Executor instance"
+        f"unknown executor {executor!r}; expected 'serial', 'pool' or an "
+        "Executor instance"
     )
 
 
 def _run_chunk_job(
-    runner: ChunkRunner, index: int, points: tuple[SweepPoint, ...]
+    runner: ChunkRunner,
+    index: int,
+    points: tuple[SweepPoint, ...],
+    slot: int | None = None,
 ) -> tuple[int, list[PointOutcome], dict[str, Any]]:
-    """Top-level (hence picklable) chunk evaluation for pool workers."""
+    """Top-level (hence picklable) chunk evaluation for pool workers.
+
+    With a ``slot``, the worker's pid sits in the pool round's ``running``
+    table while the chunk runs, so a break is blamed on the right chunk.
+    """
+    if slot is not None:
+        _RUNNING[slot] = os.getpid()
     outcomes, stats = runner.run(points)
+    if slot is not None:
+        _RUNNING[slot] = 0
     return index, outcomes, stats
 
 
@@ -164,10 +159,11 @@ class ProcessPoolExecutor(Executor):
     workers:
         Pool size.
     quarantine_after:
-        A chunk suspected in this many worker crashes is pulled out of the
-        pool and finished via isolated prefix replay (one disposable
-        process per point) so a poison point is *recorded*, never retried
-        forever and never silently dropped.
+        A chunk suspected in this many pool breakages (worker crashes or
+        stall-guard kills) is pulled out of the pool and finished via
+        isolated prefix replay (one disposable process per point) so a
+        poison point is *recorded*, never retried forever and never
+        silently dropped.
     degrade_after:
         After this many pool breakages the remaining chunks run serially
         in-process — the graceful-degradation floor when workers keep
@@ -194,6 +190,14 @@ class ProcessPoolExecutor(Executor):
         crashes: dict[int, int] = {}
         quarantined: list[dict[str, Any]] = []
         pool_breaks = 0
+
+        def info(**overrides: Any) -> dict[str, Any]:
+            return self._info(
+                effective_workers=min(self.workers, max(1, len(jobs))),
+                worker_restarts=pool_breaks, quarantined=quarantined,
+                **overrides,
+            )
+
         while pending:
             if pool_breaks >= self.degrade_after:
                 # workers keep dying wholesale: stop burning processes and
@@ -203,11 +207,7 @@ class ProcessPoolExecutor(Executor):
                     try:
                         on_chunk(index, outcomes, stats)
                     except StopExecution:
-                        return self._info(
-                            degraded=True, worker_restarts=pool_breaks,
-                            quarantined=quarantined, stopped=True,
-                            effective_workers=min(self.workers, len(jobs)),
-                        )
+                        return info(degraded=True, stopped=True)
                 break
             # chunks implicated in enough crashes leave the pool for good
             for index in [
@@ -226,69 +226,130 @@ class ProcessPoolExecutor(Executor):
                 try:
                     on_chunk(index, outcomes, stats)
                 except StopExecution:
-                    return self._info(
-                        worker_restarts=pool_breaks, quarantined=quarantined,
-                        stopped=True,
-                        effective_workers=min(self.workers, len(jobs)),
-                    )
+                    return info(stopped=True)
             if not pending:
                 break
-            broke = False
-            with futures.ProcessPoolExecutor(max_workers=self.workers) as pool:
-                submitted = {
-                    pool.submit(_run_chunk_job, runner, index, points): index
-                    for index, points in sorted(pending.items())
-                }
-                try:
-                    for future in futures.as_completed(submitted):
-                        index, outcomes, stats = future.result()
-                        pending.pop(index, None)
-                        try:
-                            on_chunk(index, outcomes, stats)
-                        except StopExecution:
-                            for f in submitted:
-                                f.cancel()
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            return self._info(
-                                worker_restarts=pool_breaks,
-                                quarantined=quarantined, stopped=True,
-                                effective_workers=min(self.workers, len(jobs)),
-                            )
-                except BrokenProcessPool:
-                    # a worker died (SIGKILL, OOM, segfault).  Salvage every
-                    # future that finished before the break — their results
-                    # are intact — then re-dispatch the rest as crash
-                    # suspects.
-                    broke = True
-                    for future, index in submitted.items():
-                        if (
-                            index in pending
-                            and future.done()
-                            and not future.cancelled()
-                            and future.exception() is None
-                        ):
-                            _, outcomes, stats = future.result()
-                            pending.pop(index, None)
-                            try:
-                                on_chunk(index, outcomes, stats)
-                            except StopExecution:
-                                return self._info(
-                                    worker_restarts=pool_breaks + 1,
-                                    quarantined=quarantined, stopped=True,
-                                    effective_workers=min(
-                                        self.workers, len(jobs)
-                                    ),
-                                )
-            if broke:
+            suspects, stopped = self._pool_round(pending, runner, on_chunk)
+            if suspects is not None:
                 pool_breaks += 1
-                for index in pending:
+                for index in suspects:
                     crashes[index] = crashes.get(index, 0) + 1
-        return self._info(
-            effective_workers=min(self.workers, max(1, len(jobs))),
-            degraded=pool_breaks >= self.degrade_after,
-            worker_restarts=pool_breaks,
-            quarantined=quarantined,
-        )
+            if stopped:
+                return info(stopped=True)
+        return info(degraded=pool_breaks >= self.degrade_after)
+
+    def _pool_round(self, pending, runner, on_chunk):
+        """Dispatch every pending chunk to one fresh pool until it drains.
+
+        Delivered chunks leave ``pending``.  Returns ``(suspects, stopped)``:
+        ``suspects`` is ``None`` when the pool drained, else the chunks
+        blamed for breaking it — the one a dead worker was running, or,
+        when the stall guard killed the workers because no chunk landed
+        within one chunk's deadline, every chunk still running.  Chunks
+        that never started or ran on a surviving worker are not blamed;
+        all undelivered chunks stay in ``pending`` for re-dispatch.
+        ``stopped`` is ``True`` when ``on_chunk`` raised
+        :class:`StopExecution`.
+        """
+        order = sorted(pending)
+        # pid of the worker running each chunk slot, 0 while not running
+        running = multiprocessing.RawArray("l", len(order))
+        deadline = runner.deadline(max(len(p) for p in pending.values()))
+        stalled = False
+        with futures.ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_track_running, initargs=(running,),
+        ) as pool:
+            submitted: dict[futures.Future, int] = {}
+            try:
+                # a worker may die before the last submit: that raises too
+                for slot, index in enumerate(order):
+                    future = pool.submit(
+                        _run_chunk_job, runner, index, pending[index], slot
+                    )
+                    submitted[future] = index
+                waiting = set(submitted)
+                while waiting:
+                    done, waiting = futures.wait(
+                        waiting, timeout=deadline,
+                        return_when=futures.FIRST_COMPLETED,
+                    )
+                    if not done:
+                        # wedged past every per-point guard: kill the
+                        # workers, the futures then fail as for a crash
+                        stalled = True
+                        _kill_workers(pool)
+                        continue
+                    for future in sorted(done, key=submitted.__getitem__):
+                        index, outcomes, stats = future.result()
+                        del pending[index]
+                        on_chunk(index, outcomes, stats)
+                return None, False
+            except StopExecution:
+                _kill_workers(pool)  # a stopped worker would hang shutdown
+                return None, True
+            except BrokenProcessPool:
+                dead = set() if stalled else _crashed_pids(pool)
+                # the pool terminates its survivors with SIGTERM, which a
+                # stopped worker never acts on: make sure they are gone
+                _kill_workers(pool)
+        still_running = {
+            index: running[slot]
+            for slot, index in enumerate(order)
+            if index in pending and running[slot]
+        }
+        suspects = [i for i, pid in still_running.items() if pid in dead]
+        # no identifiable crash (stall-guard kill, or the exit status was
+        # reaped elsewhere first): blame whatever was running
+        suspects = suspects or sorted(still_running)
+        # salvage every future that finished before the break (its result is
+        # intact); the rest stay pending for re-dispatch
+        for future, index in submitted.items():
+            if (
+                index in pending
+                and future.done()
+                and not future.cancelled()
+                and future.exception() is None
+            ):
+                _, outcomes, stats = future.result()
+                del pending[index]
+                try:
+                    on_chunk(index, outcomes, stats)
+                except StopExecution:
+                    return suspects, True
+        return suspects, False
+
+
+_RUNNING: Any = None  # a pool worker's view of its round's ``running`` array
+
+
+def _track_running(running: Any) -> None:
+    """Pool initializer: share the round's chunk -> worker pid table."""
+    global _RUNNING
+    _RUNNING = running
+
+
+def _crashed_pids(pool: futures.ProcessPoolExecutor) -> set[int]:
+    """Workers of a broken ``pool`` that died on their own.
+
+    The pool SIGTERMs its survivors once it sees a worker die; any other
+    exit status (SIGKILL, a segfault, ``os._exit``) marks a crash.
+    """
+    return {
+        pid for pid, proc in _workers(pool).items()
+        if proc.exitcode not in (None, -signal.SIGTERM)
+    }
+
+
+def _kill_workers(pool: futures.ProcessPoolExecutor) -> None:
+    """SIGKILL every worker process of ``pool`` (works on stopped ones too)."""
+    for proc in _workers(pool).values():
+        proc.kill()
+
+
+def _workers(pool: futures.ProcessPoolExecutor) -> dict[int, Any]:
+    """``pid -> Process`` of the pool's workers (empty once it shut down)."""
+    return dict(getattr(pool, "_processes", None) or {})
 
 
 def _replay_chunk_isolated(
@@ -313,13 +374,11 @@ def _replay_chunk_isolated(
     for point in points:
         prefix = tuple(alive) + (point,)
         error: str | None = None
+        # the in-worker guard should fire first; this is the belt for points
+        # that wedge a worker so hard signals never land
+        budget = runner.deadline(len(prefix))
         with futures.ProcessPoolExecutor(max_workers=1) as pool:
             future = pool.submit(_run_chunk_job, runner, 0, prefix)
-            budget = None
-            if runner.timeout is not None:
-                # the in-worker guard should fire first; this is the belt
-                # for points that wedge a worker so hard signals never land
-                budget = (runner.timeout + 5.0) * len(prefix)
             try:
                 _, prefix_outcomes, stats = future.result(timeout=budget)
                 outcomes.append(prefix_outcomes[-1])
@@ -331,8 +390,7 @@ def _replay_chunk_isolated(
                     f"in {failures} worker death(s), confirmed in isolation)"
                 )
             except futures.TimeoutError:
-                for proc in getattr(pool, "_processes", {}).values():
-                    proc.kill()
+                _kill_workers(pool)
                 error = (
                     "quarantined: point wedged an isolated worker past "
                     f"{budget}s (timeout mechanism never fired)"
@@ -343,313 +401,3 @@ def _replay_chunk_isolated(
             value=None, error=error, attempts=failures,
         ))
     return outcomes, stats, poisoned
-
-
-# ---------------------------------------------------------------------------
-# spawn-safe file-protocol work queue
-# ---------------------------------------------------------------------------
-
-#: queue sub-directories; a chunk lives in exactly one of tasks/claims at a
-#: time (moved by atomic rename), results/ is append-only commit space
-_TASKS, _CLAIMS, _RESULTS = "tasks", "claims", "results"
-_STOP_SENTINEL = "stop"
-_RUNNER_FILE = "runner.pkl"
-#: present only when a ChaosMonkey is armed: workers hold this many seconds
-#: between claiming a chunk and executing it, guaranteeing the parent
-#: observes the claim and can strike mid-chunk deterministically
-_CHAOS_HOLD_FILE = "chaos-hold"
-
-
-def _chunk_name(index: int) -> str:
-    return f"chunk-{index:05d}.pkl"
-
-
-def _chunk_index(name: str) -> int:
-    return int(name.split("-")[1].split(".")[0])
-
-
-class WorkQueueExecutor(Executor):
-    """Multi-process work queue over an atomic-rename file protocol.
-
-    Spawn-safe by construction: workers are independent interpreter
-    processes started with ``subprocess`` (no inherited locks, no fork
-    hazards) that speak to the parent exclusively through files —
-    ``os.rename`` is the commit primitive for both claiming work and
-    publishing results, so a SIGKILL at any instant leaves the queue in a
-    state the parent provably recovers from.
-
-    Parameters
-    ----------
-    workers: worker processes to keep alive.
-    lease_s: a claim older than this is a stalled worker; the parent
-        SIGKILLs it and re-queues the chunk.
-    max_restarts: total replacement workers the parent may spawn before
-        declaring the fleet unsustainable and degrading to serial.
-    quarantine_after: per-chunk worker-death count that triggers isolated
-        prefix replay (same policy as the pool backend).
-    poll_s: parent poll interval.
-    chaos: optional :class:`repro.exp.chaos.ChaosMonkey` consulted when a
-        claim is first observed — test-only fault injection, never armed
-        in production runs.
-    """
-
-    name = "work-queue"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        lease_s: float = 30.0,
-        max_restarts: int = 4,
-        quarantine_after: int = 2,
-        poll_s: float = 0.02,
-        directory: str | Path | None = None,
-        chaos: Any = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-        self.lease_s = lease_s
-        self.max_restarts = max_restarts
-        self.quarantine_after = quarantine_after
-        self.poll_s = poll_s
-        self.directory = Path(directory) if directory is not None else None
-        self.chaos = chaos
-
-    # -- protocol helpers (parent side) ------------------------------------
-
-    def _setup(self, root: Path, jobs: list[Job], runner: ChunkRunner) -> None:
-        for sub in (_TASKS, _CLAIMS, _RESULTS):
-            (root / sub).mkdir(parents=True, exist_ok=True)
-        with (root / _RUNNER_FILE).open("wb") as fh:
-            pickle.dump(runner, fh)
-        if self.chaos is not None:
-            (root / _CHAOS_HOLD_FILE).write_text(str(max(0.25, 10 * self.poll_s)))
-        for index, points in jobs:
-            target = root / _TASKS / _chunk_name(index)
-            tmp = target.with_suffix(".tmp")
-            with tmp.open("wb") as fh:
-                pickle.dump(points, fh)
-            os.replace(tmp, target)
-
-    def _spawn_worker(self, root: Path) -> subprocess.Popen:
-        # workers must be able to import repro from a bare interpreter:
-        # prepend this package's root to PYTHONPATH (spawn-safe, no fork)
-        pkg_root = str(Path(__file__).resolve().parents[2])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            pkg_root + os.pathsep + env["PYTHONPATH"]
-            if env.get("PYTHONPATH") else pkg_root
-        )
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro.exp.worker", str(root)],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-
-    def run(self, jobs, runner, on_chunk):
-        owned_dir = self.directory is None
-        root = Path(mkdtemp(prefix="repro-queue-")) if owned_dir else self.directory
-        try:
-            return self._run(root, jobs, runner, on_chunk)
-        finally:
-            if owned_dir:
-                import shutil
-
-                shutil.rmtree(root, ignore_errors=True)
-
-    def _run(self, root: Path, jobs, runner, on_chunk):
-        self._setup(root, jobs, runner)
-        by_index = dict(jobs)
-        pending = set(by_index)
-        crashes: dict[int, int] = {}
-        quarantined: list[dict[str, Any]] = []
-        restarts = 0
-        degraded = False
-        stopped = False
-        procs = [self._spawn_worker(root) for _ in range(self.workers)]
-        claim_seen: dict[int, float] = {}
-        chaos_done: set[int] = set()
-        stalled: dict[int, float] = {}  # pid -> resume_at (monotonic)
-        try:
-            while pending and not stopped:
-                progressed = False
-                # 1. results commit first: a dead worker that already
-                # published its chunk still counts, its claim is garbage
-                for name in sorted(os.listdir(root / _RESULTS)):
-                    if not name.endswith(".pkl"):
-                        continue
-                    index = _chunk_index(name)
-                    if index not in pending:
-                        continue
-                    with (root / _RESULTS / name).open("rb") as fh:
-                        outcomes, stats = pickle.load(fh)
-                    pending.discard(index)
-                    claim_seen.pop(index, None)
-                    progressed = True
-                    try:
-                        on_chunk(index, outcomes, stats)
-                    except StopExecution:
-                        stopped = True
-                        break
-                if stopped:
-                    break
-                now = time.monotonic()
-                # 2. resume chaos-stalled workers whose nap is over
-                for pid in [p for p, t in stalled.items() if now >= t]:
-                    stalled.pop(pid)
-                    _signal_quietly(pid, signal.SIGCONT)
-                # 3. observe claims: lease enforcement + chaos injection
-                claims = self._read_claims(root)
-                for index, (pid, _claimed_at) in claims.items():
-                    if index not in pending:
-                        continue  # result already committed; claim is litter
-                    if index not in claim_seen:
-                        claim_seen[index] = now
-                        if self.chaos is not None and index not in chaos_done:
-                            chaos_done.add(index)
-                            nap = self.chaos.strike(index, pid)
-                            if nap:
-                                stalled[pid] = now + nap
-                    elif now - claim_seen[index] > self.lease_s:
-                        # stalled worker: kill it; reap-and-requeue below
-                        _signal_quietly(pid, signal.SIGKILL)
-                        claim_seen.pop(index, None)
-                # a claim whose owner file never appeared is a worker that
-                # died between the rename and the owner write: requeue it
-                # once it has clearly outlived that microscopic window
-                for index in self._orphan_claims(root, claims):
-                    if index not in pending:
-                        continue
-                    first = claim_seen.setdefault(index, now)
-                    if now - first > self.lease_s:
-                        self._requeue(root, index)
-                        claim_seen.pop(index, None)
-                        crashes[index] = crashes.get(index, 0) + 1
-                # 4. reap dead workers, requeue their claims, respawn
-                live: list[subprocess.Popen] = []
-                for proc in procs:
-                    if proc.poll() is None:
-                        live.append(proc)
-                        continue
-                    for index, (pid, _t) in self._read_claims(root).items():
-                        if pid == proc.pid:
-                            self._requeue(root, index)
-                            claim_seen.pop(index, None)
-                            crashes[index] = crashes.get(index, 0) + 1
-                    if restarts < self.max_restarts:
-                        restarts += 1
-                        live.append(self._spawn_worker(root))
-                procs = live
-                # 5. quarantine chunks that keep killing workers
-                for index in [
-                    i for i in sorted(pending)
-                    if crashes.get(i, 0) >= self.quarantine_after
-                ]:
-                    self._steal_task(root, index)
-                    outcomes, stats, poisoned = _replay_chunk_isolated(
-                        runner, by_index[index], crashes[index]
-                    )
-                    quarantined.extend(
-                        {"id": pid_, "chunk": index,
-                         "failures": crashes[index], "error": err}
-                        for pid_, err in poisoned
-                    )
-                    pending.discard(index)
-                    progressed = True
-                    try:
-                        on_chunk(index, outcomes, stats)
-                    except StopExecution:
-                        stopped = True
-                        break
-                if stopped:
-                    break
-                # 6. no workers left and no restart budget: degrade
-                if pending and not procs:
-                    degraded = True
-                    for index in sorted(pending):
-                        self._steal_task(root, index)
-                        outcomes, stats = runner.run(by_index[index])
-                        pending.discard(index)
-                        try:
-                            on_chunk(index, outcomes, stats)
-                        except StopExecution:
-                            stopped = True
-                            break
-                    break
-                if not progressed:
-                    time.sleep(self.poll_s)
-        finally:
-            (root / _STOP_SENTINEL).touch()
-            for pid in stalled:
-                _signal_quietly(pid, signal.SIGCONT)
-            for proc in procs:
-                if proc.poll() is None:
-                    try:
-                        proc.wait(timeout=2.0)
-                    except subprocess.TimeoutExpired:
-                        proc.kill()
-                        proc.wait()
-        return self._info(
-            effective_workers=min(self.workers, max(1, len(jobs))),
-            degraded=degraded,
-            worker_restarts=restarts,
-            quarantined=quarantined,
-            stopped=stopped,
-        )
-
-    def _orphan_claims(
-        self, root: Path, claims: dict[int, tuple[int, float]]
-    ) -> list[int]:
-        """Claim files present with no readable owner sidecar."""
-        orphans = []
-        for name in os.listdir(root / _CLAIMS):
-            if name.endswith(".pkl"):
-                index = _chunk_index(name)
-                if index not in claims:
-                    orphans.append(index)
-        return orphans
-
-    def _read_claims(self, root: Path) -> dict[int, tuple[int, float]]:
-        """Claims as ``{chunk_index: (pid, claimed_at)}`` (tolerant scan)."""
-        claims: dict[int, tuple[int, float]] = {}
-        for name in os.listdir(root / _CLAIMS):
-            if not name.endswith(".owner"):
-                continue
-            try:
-                with (root / _CLAIMS / name).open("r") as fh:
-                    owner = fh.read().split()
-                claims[_chunk_index(name)] = (int(owner[0]), float(owner[1]))
-            except (OSError, ValueError, IndexError):
-                continue  # worker mid-write or just died; next poll settles it
-        return claims
-
-    def _requeue(self, root: Path, index: int) -> None:
-        """Move a dead worker's claim back into the task queue (atomic)."""
-        name = _chunk_name(index)
-        try:
-            os.rename(root / _CLAIMS / name, root / _TASKS / name)
-        except OSError:
-            return  # result already committed or another pass re-queued it
-        _unlink_quietly(root / _CLAIMS / (name + ".owner"))
-
-    def _steal_task(self, root: Path, index: int) -> None:
-        """Pull a chunk out of the queue so no worker picks it up again."""
-        name = _chunk_name(index)
-        _unlink_quietly(root / _TASKS / name)
-        _unlink_quietly(root / _CLAIMS / name)
-        _unlink_quietly(root / _CLAIMS / (name + ".owner"))
-
-
-def _signal_quietly(pid: int, sig: int) -> None:
-    try:
-        os.kill(pid, sig)
-    except (ProcessLookupError, PermissionError):
-        pass
-
-
-def _unlink_quietly(path: Path) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass

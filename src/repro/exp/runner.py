@@ -2,9 +2,8 @@
 
 This module is the part of the engine that actually *calls the task*.  It
 is deliberately free of any executor / process-pool machinery so that every
-execution backend (:mod:`repro.exp.executors`) and the work-queue worker
-process (:mod:`repro.exp.worker`) share one code path — a chunk evaluated
-in-process, in a pool worker, or in a queue worker produces byte-identical
+execution backend (:mod:`repro.exp.executors`) shares one code path — a
+chunk evaluated in-process or in a pool worker produces byte-identical
 outcomes by construction.
 
 Guard rails per point:
@@ -23,7 +22,10 @@ Guard rails per point:
   watchdog thread and the caller stops waiting at the deadline (the stuck
   thread is abandoned as a daemon — bounded *wait*, not bounded *work*).
   Which mechanism enforced the budget is recorded in the chunk stats and
-  surfaced in the report's execution section.
+  surfaced in the report's execution section.  The same budget, with the
+  retries and backoff on top, bounds a whole chunk
+  (:meth:`ChunkRunner.deadline`): the pool's stall guard kills workers
+  that overrun it.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ __all__ = [
 TIMEOUT_SIGALRM = "sigalrm"
 #: portable fallback: watchdog thread + wall-clock deadline on the join
 TIMEOUT_WALL_CLOCK = "wall-clock"
+
+#: per-attempt allowance on top of ``timeout`` for the guard to land and
+#: the attempt to unwind, and per-chunk allowance for dispatch and pickling
+_ATTEMPT_GRACE_S = 0.5
+_CHUNK_GRACE_S = 2.0
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,22 @@ class ChunkRunner:
     backoff: float = 0.0
     use_cache: bool = True
 
+    def deadline(self, points: int) -> float | None:
+        """Worst-case wall seconds a healthy worker needs for ``points``.
+
+        Every attempt is bounded by ``timeout`` (plus a grace for the guard
+        to land), a point makes at most ``retries + 1`` attempts, and the
+        backoff before attempt *a* is below ``backoff * 2**(a-1)``.  A
+        worker past this deadline is wedged beyond what the per-point
+        guard can interrupt.  ``None`` without a ``timeout``: nothing
+        bounds a chunk then, so there is no deadline.
+        """
+        if self.timeout is None:
+            return None
+        backoff = self.backoff * (2 ** self.retries - 1)
+        per_point = (self.retries + 1) * (self.timeout + _ATTEMPT_GRACE_S)
+        return points * (per_point + backoff) + _CHUNK_GRACE_S
+
     def run(self, points: tuple[SweepPoint, ...]) -> tuple[list[PointOutcome], dict[str, Any]]:
         """Evaluate ``points`` serially with a fresh chunk-local cache."""
         solver_cache = SolverCache() if self.use_cache else None
@@ -221,7 +244,7 @@ def _call_with_timeout(
     if _pick_mechanism() == TIMEOUT_WALL_CLOCK:
         return _call_wall_clock(task, point, ctx, timeout), TIMEOUT_WALL_CLOCK
     # SIGALRM-based guard: only usable from a process's main thread, which
-    # is where pool workers, queue workers and the serial path run chunks
+    # is where pool workers and the serial path run chunks
     def _alarm(signum, frame):
         raise _PointTimeout(TIMEOUT_SIGALRM)
 

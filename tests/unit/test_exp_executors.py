@@ -6,7 +6,6 @@ from repro.exp import (
     ProcessPoolExecutor,
     SerialExecutor,
     Sweep,
-    WorkQueueExecutor,
     resolve_executor,
     run_sweep,
 )
@@ -45,7 +44,6 @@ def test_resolver_defaults_to_pool_for_many_workers():
 def test_resolver_maps_names_and_passes_instances_through():
     assert isinstance(resolve_executor("serial", 4), SerialExecutor)
     assert isinstance(resolve_executor("pool", 1), ProcessPoolExecutor)
-    assert isinstance(resolve_executor("queue", 1), WorkQueueExecutor)
     mine = SerialExecutor()
     assert resolve_executor(mine, 8) is mine
 
@@ -53,6 +51,8 @@ def test_resolver_maps_names_and_passes_instances_through():
 def test_resolver_rejects_unknown_backend():
     with pytest.raises(ValueError, match="unknown executor"):
         resolve_executor("threads", 2)
+    with pytest.raises(ValueError, match="'serial', 'pool' or"):
+        resolve_executor("queue", 2)
 
 
 # -- shared contract ----------------------------------------------------------
@@ -80,17 +80,14 @@ def test_serial_runs_chunks_in_order():
 
 @pytest.mark.parametrize(
     "backend_name,backend",
-    [
-        ("pool", ProcessPoolExecutor(workers=2)),
-        ("queue", WorkQueueExecutor(workers=2, poll_s=0.01)),
-    ],
+    [("pool", ProcessPoolExecutor(workers=2))],
 )
 def test_parallel_backends_match_serial_exactly(backend_name, backend):
     sweep = make_sweep()
     serial_landed, _ = collect(SerialExecutor(), sweep)
     landed, info = collect(backend, sweep)
-    expected_mode = {"pool": "process-pool", "queue": "work-queue"}[backend_name]
-    assert info["mode"] == expected_mode
+    assert info["mode"] == "process-pool"
+    assert info["effective_workers"] == backend.workers
     assert sorted(landed) == sorted(serial_landed)
     for index in serial_landed:
         assert [o.payload() for o in landed[index]] == [
@@ -121,6 +118,21 @@ def test_engine_maps_executor_names_to_modes():
     pooled = run_sweep(sweep, workers=2, executor="pool")
     assert pooled.mode == "process-pool"
     assert pooled.digest() == serial.digest()
-    queued = run_sweep(sweep, workers=2, executor="queue")
-    assert queued.mode == "work-queue"
-    assert queued.digest() == serial.digest()
+
+
+# -- chunk deadline -----------------------------------------------------------
+
+def test_chunk_deadline_bounds_every_attempt_and_backoff():
+    assert ChunkRunner(task=square_task).deadline(4) is None
+    once = ChunkRunner(task=square_task, timeout=1.0)
+    retried = ChunkRunner(task=square_task, timeout=1.0, retries=5)
+    backed_off = ChunkRunner(
+        task=square_task, timeout=1.0, retries=5, backoff=0.5
+    )
+    assert once.deadline(2) > 2 * 1.0
+    # six timed-out attempts per point, each point of the chunk
+    assert retried.deadline(1) > 6 * 1.0
+    assert retried.deadline(3) > 3 * 6 * 1.0
+    # the backoff before attempt a stays below backoff * 2**(a-1)
+    slept = sum(0.5 * 2 ** (a - 1) for a in range(1, 6))
+    assert backed_off.deadline(1) - retried.deadline(1) >= slept
